@@ -39,49 +39,99 @@ class LognormalJitter:
     equals the nominal time. ``sigma≈0.2`` gives mild OS noise; ``0.5``
     gives the heavy-tailed stragglers that make barriers hurt.
 
-    Samples are indexed by (worker, iteration) through a counter-based
-    construction (one child generator per worker) so results do not depend
-    on the order in which workers ask.
+    Each worker ``w`` owns one stream, seeded ``SeedSequence([seed, w])``
+    and created on the worker's first ask, so any worker count works.
+    Draws are sequential per worker: the n-th distinct iteration a worker
+    asks for gets the n-th draw of its stream. Results therefore do not
+    depend on how asks of *different* workers interleave, but they do
+    depend on the order in which one worker asks for its iterations (the
+    trainer asks in increasing order).
+
+    A re-ask of one of a worker's last :attr:`CACHE_DEPTH` iterations
+    returns the cached draw; the cache holds no more than that per worker.
+    Asking for an iteration at or below one already evicted raises
+    ``ValueError`` rather than consuming a fresh draw, which would silently
+    differ from the first answer.
+
+    ``n_workers`` is the minimum number of streams :meth:`state_dict`
+    records (higher workers' streams appear once asked), which keeps the
+    checkpoint layout of runs with up to 64 workers unchanged.
     """
+
+    #: Cached draws kept per worker.
+    CACHE_DEPTH = 64
 
     def __init__(self, sigma: float = 0.2, seed: int = 0, n_workers: int = 64) -> None:
         if sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {sigma}")
         self.sigma = float(sigma)
         self.seed = int(seed)
-        self._streams = [
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, w])))
-            for w in range(n_workers)
-        ]
-        self._cache: dict[tuple[int, int], float] = {}
+        self.n_workers = int(n_workers)
+        self._streams: dict[int, np.random.Generator] = {}
+        #: worker -> {iteration: factor} for its latest asks, oldest first.
+        self._cache: dict[int, dict[int, float]] = {}
+        #: worker -> newest iteration evicted from its cache.
+        self._evicted: dict[int, int] = {}
+
+    def _stream(self, worker: int) -> np.random.Generator:
+        gen = self._streams.get(worker)
+        if gen is None:
+            if worker < 0:
+                raise ValueError(f"worker must be >= 0, got {worker}")
+            gen = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence([self.seed, worker]))
+            )
+            self._streams[worker] = gen
+        return gen
 
     def sample(self, base_time: float, worker: int, iteration: int) -> float:
-        key = (worker, iteration)
-        factor = self._cache.get(key)
+        cache = self._cache.get(worker)
+        if cache is None:
+            cache = self._cache[worker] = {}
+        factor = cache.get(iteration)
         if factor is None:
-            # Draw sequentially per worker; iterations are asked in order by
-            # the trainer, and the cache makes re-asks consistent.
-            factor = float(np.exp(self._streams[worker].normal(0.0, self.sigma)))
-            self._cache[key] = factor
+            evicted = self._evicted.get(worker)
+            if evicted is not None and iteration <= evicted:
+                raise ValueError(
+                    f"jitter for worker {worker} iteration {iteration} is no "
+                    f"longer cached (CACHE_DEPTH={self.CACHE_DEPTH})"
+                )
+            factor = float(np.exp(self._stream(worker).normal(0.0, self.sigma)))
+            cache[iteration] = factor
+            if len(cache) > self.CACHE_DEPTH:
+                oldest = next(iter(cache))
+                del cache[oldest]
+                self._evicted[worker] = (
+                    oldest if evicted is None else max(oldest, evicted)
+                )
         return base_time * factor
 
     def state_dict(self) -> dict:
-        """Serialisable per-worker RNG stream state (for checkpointing)."""
+        """Serialisable per-worker RNG stream state (for checkpointing).
+
+        ``streams[w]`` is worker ``w``'s stream state, for every worker
+        below ``max(n_workers, highest worker asked + 1)``.
+        """
+        n = max([self.n_workers] + [w + 1 for w in self._streams])
         return {
             "kind": "lognormal",
-            "streams": [g.bit_generator.state for g in self._streams],
+            "streams": [self._stream(w).bit_generator.state for w in range(n)],
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore stream state captured by :meth:`state_dict`."""
-        streams = state.get("streams", [])
-        if len(streams) != len(self._streams):
-            raise ValueError(
-                f"jitter state has {len(streams)} streams; model has {len(self._streams)}"
-            )
-        for generator, saved in zip(self._streams, streams):
-            generator.bit_generator.state = saved
+        """Restore stream state captured by :meth:`state_dict`.
+
+        Any stream count loads; workers beyond the saved list start from
+        their seeded initial state on their first ask.
+        """
+        streams = state.get("streams")
+        if not isinstance(streams, list):
+            raise ValueError("jitter state has no 'streams' list")
+        self._streams.clear()
+        for worker, saved in enumerate(streams):
+            self._stream(worker).bit_generator.state = saved
         self._cache.clear()
+        self._evicted.clear()
 
 
 class PersistentStraggler:

@@ -27,6 +27,14 @@ Two interchangeable solvers are provided:
   the rare sub-``_EPS`` near-tie falls back to the reference scan for the
   round).
 
+Before any filling, :func:`fast_fair_rates` tries
+:func:`single_bottleneck_share`: when one link carries every flow and
+bottlenecks all of them with room to spare (the parameter server's link
+on the trainer's star), the reference would freeze every flow in its
+first round at ``capacity / n``, so that value is returned directly.
+``Network`` applies the same closed form to its live link loads and
+skips building solver inputs altogether.
+
 :func:`fair_rates` dispatches between them on the ``REPRO_FAIRSHARE``
 environment variable (``legacy`` selects the reference solver; anything
 else — the default — selects the fast one), mirroring the
@@ -37,6 +45,8 @@ from __future__ import annotations
 
 import heapq
 import os
+from collections import Counter
+from itertools import chain
 from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 _EPS = 1e-12
@@ -131,6 +141,47 @@ def _freeze_round(bottleneck, best_share, rates, unfrozen, link_flows, remaining
     return dirty
 
 
+def single_bottleneck_share(
+    load: Mapping[Hashable, int],
+    capacities: Mapping[Hashable, float],
+    n: int,
+) -> Optional[float]:
+    """Closed-form max–min rate when one link bottlenecks all ``n`` flows.
+
+    ``load`` maps each link to the number of flows crossing it (links
+    with zero load are ignored). Let ``m`` be the smallest
+    ``capacities[h] / n`` over links ``h`` that carry every flow. When
+    every link whose share ``capacities[l] / load[l]`` equals ``m``
+    exactly also carries every flow, and every other loaded link's share
+    exceeds ``m`` by more than ``2·_EPS``, the reference progressive
+    filling freezes all ``n`` flows in its first round at ``m``:
+
+    * its scan adopts the first link at share ``m`` (an incumbent at
+      ``s`` with ``s - m > 2·_EPS`` satisfies ``m < s - _EPS`` in floats,
+      the near-tie guard of :func:`fast_fair_rates`), and nothing after
+      it undercuts ``m``;
+    * that link carries every flow, so the round freezes them all at
+      ``remaining / len(flows)`` — the same float operation as ``m``.
+
+    So returning ``m`` for every flow is bit-identical to a full solve.
+    Returns ``None`` when the precondition fails; callers then solve.
+    """
+    best = None
+    for link, k in load.items():
+        if k == n:
+            share = capacities[link] / n
+            if best is None or share < best:
+                best = share
+    if best is None:
+        return None
+    for link, k in load.items():
+        if k:
+            share = capacities[link] / k
+            if share - best <= 2 * _EPS and not (k == n and share == best):
+                return None
+    return best
+
+
 def max_min_fair_rates(
     flow_routes: Mapping[Hashable, Sequence[Hashable]],
     capacities: Mapping[Hashable, float],
@@ -194,6 +245,9 @@ def fast_fair_rates(
     only on how many of the round's flows crossed the link — never on the
     order they froze.
 
+    Inputs that meet :func:`single_bottleneck_share`'s precondition are
+    answered in closed form before any heap is built.
+
     ``validate=False`` skips input validation *and* loopback handling for
     trusted callers (the Network, whose route map never contains empty
     routes or unknown links) — every entry must be a non-empty sequence of
@@ -204,6 +258,18 @@ def fast_fair_rates(
     else:
         rates = {}
         unfrozen = flow_routes
+
+    # Closed form first: star-shaped subproblems (every flow through one
+    # PS link) need no filling at all. The load count is C-level work.
+    share = single_bottleneck_share(
+        Counter(chain.from_iterable(map(set, unfrozen.values()))),
+        capacities,
+        len(unfrozen),
+    )
+    if share is not None:
+        rates.update(dict.fromkeys(unfrozen, share))
+        return rates
+
     remaining = dict(capacities)
 
     # Per-flow unique links; per-link flow list (lazy deletion via the
@@ -449,20 +515,24 @@ def prio_fair_rates(
         return plain(flow_routes, capacities)
 
     leftover = dict(capacities)
-    floor = {link: cap * _SAT_REL for link, cap in capacities.items()}
+    by_class: dict[int, list] = {cls: [] for cls in classes}
+    for fid in flow_routes:
+        by_class[prios[fid]].append(fid)
+    # Links whose leftover is at or below capacity × _SAT_REL. Leftover
+    # only ever shrinks, so a link joins this set when a subtraction takes
+    # it under the floor and never leaves it.
+    saturated = {l for l, cap in capacities.items() if cap <= cap * _SAT_REL}
     rates: dict[Hashable, float] = {}
     for cls in classes:
         solve_routes: dict[Hashable, Sequence[Hashable]] = {}
         caps: dict[Hashable, float] = {}
-        for fid, route in flow_routes.items():
-            if prios[fid] != cls:
-                continue
-            uniq = set(route)
-            if any(leftover[l] <= floor[l] for l in uniq):
+        for fid in by_class[cls]:
+            route = flow_routes[fid]
+            if saturated and not saturated.isdisjoint(route):
                 rates[fid] = 0.0  # starved by a higher class
             else:
                 solve_routes[fid] = route
-                for l in uniq:
+                for l in route:
                     caps[l] = leftover[l]
         if not solve_routes:
             continue
@@ -472,11 +542,17 @@ def prio_fair_rates(
             sub = weighted_max_min_fair_rates(
                 solve_routes, caps, {f: weights[f] for f in solve_routes}
             )
+        if cls == classes[-1]:
+            rates.update(sub)  # nothing below this class reads leftover
+            break
         for fid, rate in sub.items():
             rates[fid] = rate
             if rate > 0 and rate != float("inf"):
                 for l in set(flow_routes[fid]):
-                    leftover[l] = max(0.0, leftover[l] - rate)
+                    left = max(0.0, leftover[l] - rate)
+                    leftover[l] = left
+                    if left <= capacities[l] * _SAT_REL:
+                        saturated.add(l)
     return rates
 
 
@@ -486,5 +562,6 @@ __all__ = [
     "fast_fair_rates",
     "max_min_fair_rates",
     "prio_fair_rates",
+    "single_bottleneck_share",
     "weighted_max_min_fair_rates",
 ]

@@ -20,6 +20,13 @@ and restores the one-recompute-per-event reference path):
   last solve rides links carrying no *other* flow, the surviving rates are
   provably unchanged and a new flow's rate is exactly the min capacity on
   its route, so the solver is skipped outright (``netsim.rerate_skipped``).
+* **Closed-form single-bottleneck rerates** — when one link carries every
+  active flow and is every flow's bottleneck with more than ``2·_EPS`` to
+  spare (the PS link in a one-rack star), each flow's rate is that link's
+  ``capacity / n``: exactly what the solver would return, read off the
+  live per-link loads without building solver inputs
+  (``netsim.fairshare_closed_form``; see
+  :func:`~repro.netsim.fairshare.single_bottleneck_share`).
 * **Vectorized drain** — ``remaining``/``rate`` live in parallel numpy
   arrays keyed by a stable per-flow slot; per-link ``bytes_carried`` is
   accumulated with ``np.bincount``. Per-flow remaining values are
@@ -54,6 +61,7 @@ from repro.netsim.fairshare import (
     fast_fair_rates,
     max_min_fair_rates,
     prio_fair_rates,
+    single_bottleneck_share,
 )
 from repro.netsim.flows import Flow, FlowRecord
 from repro.netsim.links import Link
@@ -130,6 +138,7 @@ class Network:
             "netsim.rerates": 0,
             "netsim.rerate_skipped": 0,
             "netsim.fairshare_calls": 0,
+            "netsim.fairshare_closed_form": 0,
             "netsim.records_dropped": 0,
             "netsim.prio_preemptions": 0,
             "netsim.prio_bytes.bulk": 0.0,
@@ -161,7 +170,8 @@ class Network:
         #: are pinned until the slice boundary).
         self._locked: list[int] = []
         self._route_cache: dict[tuple, tuple[tuple[Link, ...], tuple[str, ...]]] = {}
-        #: active-flow count per link name (decoupling detector).
+        #: active-flow count per loaded link name (decoupling detector and
+        #: closed-form precondition; links drop out when their load hits 0).
         self._link_load: dict[str, int] = {}
         #: True while a coalesced rerate is armed for the current instant.
         self._pending = False
@@ -188,7 +198,7 @@ class Network:
         self._link_index = {l.name: i for i, l in enumerate(self._links_seq)}
         self._vector_ok = True
         self._slot_of: dict[int, int] = {}
-        self._slot_flow: list[Optional[Flow]] = []
+        self._n_slots = 0
         self._free_slots: list[int] = []
         self._arr_remaining = np.zeros(0)
         self._arr_rate = np.zeros(0)
@@ -204,8 +214,11 @@ class Network:
         #: Per-slot job index (-1 = untagged), parallel to _arr_remaining.
         self._arr_job = np.zeros(0, dtype=np.intp)
         self._act_dirty = True
-        self._act_list: list[int] = []
+        self._act_flows: list[Flow] = []
         self._act_arr = np.zeros(0, dtype=np.intp)
+        self._act_links = np.zeros(0, dtype=np.intp)
+        self._act_prio = np.zeros(0, dtype=np.intp)
+        self._act_job = np.zeros(0, dtype=np.intp)
 
     # ------------------------------------------------------------------ API
     @property
@@ -440,12 +453,13 @@ class Network:
         load = self._link_load
         for name in set(flow.names):
             n = load[name] - 1
-            load[name] = n
             if n > 0:
+                load[name] = n
                 self._solver_dirty = True  # survivors on this link speed up
+            else:
+                del load[name]
         slot = self._slot_of.pop(flow.fid, None)
         if slot is not None:
-            self._slot_flow[slot] = None
             self._free_slots.append(slot)
             self._act_dirty = True
         self._finish(flow)
@@ -453,10 +467,9 @@ class Network:
     def _alloc_slot(self, flow: Flow) -> int:
         if self._free_slots:
             slot = self._free_slots.pop()
-            self._slot_flow[slot] = flow
         else:
-            slot = len(self._slot_flow)
-            self._slot_flow.append(flow)
+            slot = self._n_slots
+            self._n_slots += 1
             if slot >= self._arr_remaining.size:
                 new_cap = max(64, 2 * self._arr_remaining.size)
                 for attr in ("_arr_remaining", "_arr_rate"):
@@ -480,10 +493,20 @@ class Network:
         return slot
 
     def _act_slots(self) -> np.ndarray:
-        """Slot indices of active flows (insertion order), cached."""
+        """Slot indices of active flows (insertion order), cached.
+
+        Refreshing the cache also gathers the per-flow planes the drain
+        reads (flows, link pairs, classes, jobs): a slot's entries are
+        written only at registration, which invalidates the cache.
+        """
         if self._act_dirty:
-            self._act_list = [self._slot_of[fid] for fid in self._active]
-            self._act_arr = np.array(self._act_list, dtype=np.intp)
+            self._act_flows = list(self._active.values())
+            slot_of = self._slot_of
+            act = np.array([slot_of[fid] for fid in self._active], dtype=np.intp)
+            self._act_arr = act
+            self._act_links = self._arr_links[act].ravel()
+            self._act_prio = self._arr_prio[act]
+            self._act_job = self._arr_job[act]
             self._act_dirty = False
         return self._act_arr
 
@@ -502,21 +525,22 @@ class Network:
             new_rem = np.where(moved > 0.0, np.maximum(0.0, rem - moved), rem)
             self._arr_remaining[act] = new_rem
             per_link = np.bincount(
-                self._arr_links[act].ravel(),
+                self._act_links,
                 weights=np.repeat(moved, 2),
                 minlength=self._n_links,
             )
             links = self._links_seq
-            for idx in np.flatnonzero(per_link):
-                links[idx].bytes_carried += per_link[idx]
+            hit = np.flatnonzero(per_link)
+            for idx, nbytes in zip(hit.tolist(), per_link[hit].tolist()):
+                links[idx].bytes_carried += nbytes
             if self._prio_on:
                 per_cls = np.bincount(
-                    self._arr_prio[act], weights=moved, minlength=4
+                    self._act_prio, weights=moved, minlength=4
                 )
                 for cls in np.flatnonzero(per_cls):
                     self._count(_BYTE_COUNTERS[cls], float(per_cls[cls]))
             if self._job_count:
-                jobs = self._arr_job[act]
+                jobs = self._act_job
                 tagged = jobs >= 0
                 if tagged.any():
                     per_job = np.bincount(
@@ -527,9 +551,8 @@ class Network:
                     names = self._job_names
                     for jidx in np.flatnonzero(per_job):
                         self._count(_job_counter(names[jidx]), float(per_job[jidx]))
-            slot_flow = self._slot_flow
-            for i, slot in enumerate(self._act_list):
-                slot_flow[slot].remaining = new_rem[i]
+            for flow, rem_f in zip(self._act_flows, new_rem.tolist()):
+                flow.remaining = rem_f
             return
         cls_bytes = [0.0, 0.0, 0.0, 0.0]
         job_bytes: dict[str, float] = {}
@@ -693,9 +716,19 @@ class Network:
         fresh_anchor: set[int] = set()
         while True:
             # Complete flows that have fully drained.
-            finished = [
-                f for f in self._active.values() if f.remaining <= _BYTE_EPS
-            ]
+            if self._fast and self._vector_ok:
+                act = self._act_slots()
+                flows = self._act_flows
+                finished = [
+                    flows[i]
+                    for i in np.flatnonzero(
+                        self._arr_remaining[act] <= _BYTE_EPS
+                    ).tolist()
+                ]
+            else:
+                finished = [
+                    f for f in self._active.values() if f.remaining <= _BYTE_EPS
+                ]
             for flow in finished:
                 self._retire(flow, tr)
 
@@ -726,16 +759,28 @@ class Network:
             elif multi:
                 self._prio_solve(fresh_anchor)
             elif self._fast:
-                rates = fast_fair_rates(
-                    self._solver_routes, self._capacities, validate=False
+                active = self._active
+                share = single_bottleneck_share(
+                    self._link_load, self._capacities, len(active)
                 )
+                if share is not None:
+                    # One link bottlenecks every flow (the PS link of a
+                    # star): the solve would return this share for all.
+                    for flow in active.values():
+                        flow.rate = share
+                    self._arr_rate[self._act_slots()] = share
+                    self._count("netsim.fairshare_closed_form")
+                else:
+                    rates = fast_fair_rates(
+                        self._solver_routes, self._capacities, validate=False
+                    )
+                    arr_rate = self._arr_rate
+                    slot_of = self._slot_of
+                    for fid, flow in active.items():
+                        rate = rates[fid]
+                        flow.rate = rate
+                        arr_rate[slot_of[fid]] = rate
                 self._count("netsim.fairshare_calls")
-                arr_rate = self._arr_rate
-                slot_of = self._slot_of
-                for fid, flow in self._active.items():
-                    rate = rates[fid]
-                    flow.rate = rate
-                    arr_rate[slot_of[fid]] = rate
                 self._after_plain_solve()
             else:
                 routes = {

@@ -55,6 +55,7 @@ COUNTERS: frozenset[str] = frozenset(
         "netsim.rerates",
         "netsim.rerate_skipped",
         "netsim.fairshare_calls",
+        "netsim.fairshare_closed_form",
         "netsim.records_dropped",
         # priority scheduling (repro.netsim.network; see docs/performance.md)
         "netsim.prio_preemptions",

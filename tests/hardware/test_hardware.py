@@ -147,6 +147,51 @@ def test_lognormal_jitter_validation():
         LognormalJitter(sigma=-0.1)
 
 
+def test_lognormal_jitter_streams_match_seeded_generators():
+    """Lazily created streams draw exactly what SeedSequence([seed, w]) does."""
+    j = LognormalJitter(sigma=0.3, seed=11)
+    for w in (0, 5, 63, 64, 200):
+        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence([11, w])))
+        for i in range(5):
+            expected = float(np.exp(ref.normal(0.0, 0.3)))
+            assert j.sample(1.0, w, i) == expected
+
+
+def test_lognormal_jitter_cache_is_bounded():
+    j = LognormalJitter(sigma=0.3, seed=1)
+    first = [j.sample(1.0, 0, i) for i in range(3 * j.CACHE_DEPTH)]
+    assert len(j._cache[0]) == j.CACHE_DEPTH
+    # Recent re-asks still return the first answer...
+    last = 3 * j.CACHE_DEPTH - 1
+    assert j.sample(1.0, 0, last) == first[last]
+    # ...and an evicted one refuses rather than drawing a different value.
+    with pytest.raises(ValueError, match="no longer cached"):
+        j.sample(1.0, 0, 0)
+    # Other workers are unaffected by worker 0's evictions.
+    assert j.sample(1.0, 1, 0) == LognormalJitter(sigma=0.3, seed=1).sample(1.0, 1, 0)
+
+
+def test_lognormal_jitter_state_roundtrip_and_legacy_layout():
+    j = LognormalJitter(sigma=0.3, seed=4)
+    for i in range(3):
+        j.sample(1.0, 2, i)
+    state = j.state_dict()
+    # Up to 64 workers the layout is the historical one: 64 streams.
+    assert len(state["streams"]) == 64
+    restored = LognormalJitter(sigma=0.3, seed=4)
+    restored.load_state(state)
+    assert restored.sample(1.0, 2, 3) == j.sample(1.0, 2, 3)
+    # Wider runs record every stream up to the highest worker asked.
+    j.sample(1.0, 99, 0)
+    wide = j.state_dict()
+    assert len(wide["streams"]) == 100
+    again = LognormalJitter(sigma=0.3, seed=4)
+    again.load_state(wide)
+    assert again.sample(1.0, 99, 1) == j.sample(1.0, 99, 1)
+    with pytest.raises(ValueError):
+        again.load_state({"kind": "lognormal"})
+
+
 def test_persistent_straggler_slows_selected_workers():
     m = PersistentStraggler(slow_workers=[2], slow_factor=3.0)
     assert m.sample(1.0, 2, 0) == pytest.approx(3.0)

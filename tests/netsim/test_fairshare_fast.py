@@ -3,8 +3,10 @@
 The fast path's whole contract is *bit-identical rate dicts* — not
 approximately-equal, ``==``-equal floats — on every input the reference
 accepts. Hypothesis drives randomized star topologies (the trainer's
-shape), multi-tier/general topologies, degenerate eps-scale capacities,
-and loopback/empty-route flows through both solvers.
+shape), hub-shaped incast/broadcast through one PS link (the closed-form
+single-bottleneck case, with its exact ties and near-ties), multi-tier/
+general topologies, degenerate eps-scale capacities, and loopback/
+empty-route flows through both solvers.
 """
 
 import os
@@ -14,10 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.fairshare import (
+    _EPS,
     fair_rates,
     fairshare_mode,
     fast_fair_rates,
     max_min_fair_rates,
+    prio_fair_rates,
+    single_bottleneck_share,
 )
 
 
@@ -168,3 +173,95 @@ def test_fast_trusted_path_matches_validating_path(case):
     assert fast_fair_rates(trusted, caps, validate=False) == fast_fair_rates(
         trusted, caps
     )
+
+
+# ---------------------------------------------- hub: one PS link, closed form
+@st.composite
+def hub_cases(draw):
+    """Incast to and/or broadcast from one hub (PS) link.
+
+    Spokes carry up to ``n`` flows each. Spoke capacities are drawn free,
+    tied *exactly* with the hub's share (``C_s/k == C_h/n``), or within a
+    few ``_EPS`` of it, and capacities go down to 1e-12 so the near-tie
+    guard's scale matters.
+    """
+    n = draw(st.integers(min_value=1, max_value=16))
+    scale = draw(st.sampled_from([1e-12, 1e-9, 1.0, 1.25e9]))
+    hub_cap = scale * draw(st.integers(min_value=1, max_value=64))
+    direction = draw(st.sampled_from(["incast", "broadcast", "both"]))
+    # Spread n flows over spokes, up to n flows on one spoke.
+    spoke_of = [draw(st.integers(min_value=0, max_value=n - 1)) for _ in range(n)]
+    caps = {"up:ps": hub_cap, "down:ps": hub_cap}
+    flows = {}
+    for j, spoke in enumerate(spoke_of):
+        incast = direction == "incast" or (direction == "both" and j % 2 == 0)
+        flows[f"f{j}"] = (
+            [f"up:{spoke}", "down:ps"] if incast else ["up:ps", f"down:{spoke}"]
+        )
+    hub_share = hub_cap / n
+    for spoke in sorted(set(spoke_of)):
+        k = spoke_of.count(spoke)
+        kind = draw(st.sampled_from(["free", "tie", "near"]))
+        if kind == "tie":
+            # Exact whenever (m·k)/k rounds back to m (always for k = 1).
+            spoke_cap = hub_share * k
+        elif kind == "near":
+            delta = draw(st.sampled_from([-3, -2, -1, 1, 2, 3])) * _EPS
+            spoke_cap = max((hub_share + delta) * k, 1e-12)
+        else:
+            spoke_cap = draw(
+                st.floats(min_value=1e-12, max_value=1e10, allow_nan=False)
+            )
+        caps[f"up:{spoke}"] = caps[f"down:{spoke}"] = spoke_cap
+    return flows, caps
+
+
+@settings(max_examples=400, deadline=None)
+@given(hub_cases())
+def test_fast_bit_identical_on_hubs(case):
+    flows, caps = case
+    reference = max_min_fair_rates(flows, caps)
+    assert fast_fair_rates(flows, caps) == reference
+    assert fast_fair_rates(flows, caps, validate=False) == reference
+
+
+@settings(max_examples=400, deadline=None)
+@given(hub_cases())
+def test_closed_form_share_matches_reference(case):
+    """Whenever the precondition holds, every flow's reference rate is the
+    closed-form share, bit for bit."""
+    flows, caps = case
+    load = {}
+    for route in flows.values():
+        for link in set(route):
+            load[link] = load.get(link, 0) + 1
+    share = single_bottleneck_share(load, caps, len(flows))
+    if share is not None:
+        assert set(max_min_fair_rates(flows, caps).values()) == {share}
+
+
+@settings(max_examples=300, deadline=None)
+@given(hub_cases(), st.randoms(use_true_random=False))
+def test_prio_fast_bit_identical_on_hubs(case, rnd):
+    flows, caps = case
+    prios = {f: rnd.randrange(4) for f in flows}
+    reference = prio_fair_rates(flows, caps, prios, solver=max_min_fair_rates)
+    fast = prio_fair_rates(
+        flows, caps, prios,
+        solver=lambda r, c: fast_fair_rates(r, c, validate=False),
+    )
+    assert fast == reference
+
+
+def test_closed_form_covers_plain_incast_and_refuses_two_hubs():
+    caps = {"up:0": 10.0, "up:1": 10.0, "down:ps": 8.0, "up:ps": 8.0, "down:0": 10.0}
+    incast = {"a": ["up:0", "down:ps"], "b": ["up:1", "down:ps"]}
+    assert single_bottleneck_share({"up:0": 1, "up:1": 1, "down:ps": 2}, caps, 2) == 4.0
+    assert fast_fair_rates(incast, caps) == {"a": 4.0, "b": 4.0}
+    # Incast plus broadcast: no link carries every flow.
+    assert single_bottleneck_share({"up:0": 1, "down:ps": 1, "up:ps": 1, "down:0": 1}, caps, 2) is None
+    # A spoke tied exactly with the hub but carrying fewer flows: refuse.
+    assert single_bottleneck_share({"up:0": 1, "down:ps": 2}, {"up:0": 4.0, "down:ps": 8.0}, 2) is None
+    # A spoke within 2·_EPS above the hub share: refuse.
+    near = 4e-12 + 1.5 * _EPS
+    assert single_bottleneck_share({"up:0": 1, "down:ps": 2}, {"up:0": near, "down:ps": 8e-12}, 2) is None
